@@ -138,49 +138,61 @@ proptest! {
             .all(|t| t.component(attr).is_singleton()));
     }
 
-    /// Streaming evaluation == strict evaluation, tuple for tuple, on
-    /// random expression shapes over random relations (pipeline
-    /// operators and blocking fallbacks alike).
+    /// The pipeline pieces the compiled plans run equal the strict
+    /// operators, tuple for tuple: `filter_box` applied to every tuple is
+    /// `select_box` (two conjuncts on one attribute included), and
+    /// `JoinLayout::probe` of every left tuple is `natural_join`.
     #[test]
-    fn eval_stream_matches_eval(
+    fn pipeline_operators_match_strict_ops(
         a in arb_flat("R"),
         b in arb_flat("S"),
         seed in any::<u64>(),
         v in 0u32..4,
-        shape in 0usize..8,
     ) {
-        use nf2_algebra::{eval_stream, Env, Expr, StreamEnv};
+        use nf2_algebra::stream::filter_box;
+        use nf2_algebra::{JoinLayout, RelStream};
+        use nf2_core::tuple::TupleView;
+
         let (ra, rb) = (nested(&a, seed), nested(&b, seed / 3));
-        let sel = |input: Expr| Expr::SelectBox {
-            input: Box::new(input),
-            constraints: vec![("B".into(), vec![Atom(v + 10), Atom(10)])],
-        };
-        let same_attr_twice = |input: Expr| Expr::SelectBox {
-            input: Box::new(input),
-            constraints: vec![
-                ("B".into(), vec![Atom(v + 10), Atom(10), Atom(11)]),
-                ("B".into(), vec![Atom(10), Atom(12)]),
-            ],
-        };
-        let expr = match shape {
-            0 => Expr::rel("r"),
-            1 => sel(Expr::rel("r")),
-            2 => Expr::Project { input: Box::new(sel(Expr::rel("r"))), attrs: vec!["C".into(), "A".into()] },
-            3 => sel(Expr::Join(Box::new(Expr::rel("r")), Box::new(Expr::rel("s")))),
-            4 => Expr::Union(Box::new(Expr::rel("r")), Box::new(sel(Expr::rel("s")))),
-            5 => Expr::Unnest { input: Box::new(Expr::rel("r")), attr: "A".into() },
-            6 => Expr::Nest { input: Box::new(sel(Expr::rel("r"))), attr: "C".into() },
-            _ => same_attr_twice(Expr::rel("r")),
-        };
-        let mut env = Env::new();
-        env.insert("r", ra.clone());
-        env.insert("s", rb.clone());
-        let strict = expr.eval(&env).unwrap();
-        let mut senv = StreamEnv::new();
-        senv.insert_relation("r", &ra);
-        senv.insert_relation("s", &rb);
-        let streamed = eval_stream(&expr, &senv).unwrap().into_relation().unwrap();
-        prop_assert_eq!(&strict, &streamed, "shape {}: {}", shape, expr);
-        prop_assert!(streamed.validate().is_ok(), "pipeline preserved the invariant");
+        let set = |vals: &[u32]| ValueSet::new(vals.iter().map(|&x| Atom(x)).collect()).unwrap();
+        for constraints in [
+            vec![(1, set(&[v + 10, 10]))],
+            vec![(1, set(&[v + 10, 10, 11])), (1, set(&[10, 12]))],
+        ] {
+            let strict = select_box(&ra, &constraints).unwrap();
+            let iter = ra
+                .tuples()
+                .iter()
+                .map(TupleView::Borrowed)
+                .filter_map(|t| filter_box(t, &constraints));
+            let piped = RelStream::new(ra.schema().clone(), Box::new(iter))
+                .into_relation()
+                .unwrap();
+            prop_assert_eq!(&strict, &piped, "constraints {:?}", constraints);
+            prop_assert!(piped.validate().is_ok());
+        }
+
+        // S shares every attribute with R; T = (C, D) shares only C, so
+        // the join also appends a right-only component.
+        let t_flat = FlatRelation::from_rows(
+            Schema::new("T", &["C", "D"]).unwrap(),
+            b.rows().map(|r| vec![r[2], Atom(r[0].0 + 30)]),
+        )
+        .unwrap();
+        let rt = canonical_of_flat(&t_flat, &NestOrder::all(2)[(seed as usize) % 2]);
+        for right in [&rb, &rt] {
+            let layout = JoinLayout::of(ra.schema(), right.schema()).unwrap();
+            let build: Vec<TupleView<'_>> =
+                right.tuples().iter().map(TupleView::Borrowed).collect();
+            let mut out = Vec::new();
+            for l in ra.tuples() {
+                layout.probe(&TupleView::Borrowed(l), &build, &mut out);
+            }
+            let joined = RelStream::new(layout.schema.clone(), Box::new(out.into_iter()))
+                .into_relation()
+                .unwrap();
+            prop_assert_eq!(&natural_join(&ra, right).unwrap(), &joined);
+            prop_assert!(joined.validate().is_ok(), "probe preserved the invariant");
+        }
     }
 }

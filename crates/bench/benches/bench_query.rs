@@ -3,60 +3,62 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
-use nf2_query::Database;
+use nf2_query::Engine;
 
-fn seeded_db(students: usize) -> Database {
-    let mut db = Database::new();
-    db.run("CREATE TABLE sc (Student, Course, Club) NEST ORDER (Course, Student, Club)")
+fn seeded(students: usize) -> Engine {
+    let engine = Engine::default();
+    let mut s = engine.session();
+    s.run("CREATE TABLE sc (Student, Course, Club) NEST ORDER (Course, Student, Club)")
         .unwrap();
-    for s in 0..students {
+    for st in 0..students {
         for c in 0..4 {
-            db.run(&format!(
-                "INSERT INTO sc VALUES ('s{s}','c{}','b{}')",
-                (s + c) % 25,
-                s % 6
+            s.run(&format!(
+                "INSERT INTO sc VALUES ('s{st}','c{}','b{}')",
+                (st + c) % 25,
+                st % 6
             ))
             .unwrap();
         }
     }
-    db
+    engine
 }
 
 fn bench_statements(c: &mut Criterion) {
     let mut group = c.benchmark_group("dml");
-    let db = seeded_db(200);
 
     group.bench_function("parse_select", |b| {
         b.iter(|| nf2_query::parse("SELECT Course FROM sc WHERE Student = 's1'").unwrap())
     });
 
     group.bench_function("select_by_student", |b| {
-        let mut db = seeded_db(200);
+        let engine = seeded(200);
+        let mut s = engine.session();
         let mut i = 0usize;
         b.iter(|| {
             let stmt = format!("SELECT Course FROM sc WHERE Student = 's{}'", i % 200);
             i += 1;
-            db.run(&stmt).unwrap()
+            s.run(&stmt).unwrap()
         });
     });
 
     group.bench_function("insert_delete_pair", |b| {
         b.iter_batched(
-            || seeded_db(50),
-            |mut db| {
-                db.run("INSERT INTO sc VALUES ('sx','cx','bx')").unwrap();
-                db.run("DELETE FROM sc WHERE Student = 'sx'").unwrap();
-                db
+            || seeded(50),
+            |engine| {
+                let mut s = engine.session();
+                s.run("INSERT INTO sc VALUES ('sx','cx','bx')").unwrap();
+                s.run("DELETE FROM sc WHERE Student = 'sx'").unwrap();
+                engine
             },
             BatchSize::LargeInput,
         );
     });
 
     group.bench_function("show_table", |b| {
-        let mut db = seeded_db(100);
-        b.iter(|| db.run("SHOW sc").unwrap());
+        let engine = seeded(100);
+        let mut s = engine.session();
+        b.iter(|| s.run("SHOW sc").unwrap());
     });
-    drop(db);
     group.finish();
 }
 

@@ -1331,8 +1331,8 @@ pub fn e16_with(total_ops: usize) -> Report {
 /// E17 — the Engine/Session API payoff: a point-SELECT hot loop served
 /// three ways.
 ///
-/// The legacy `Database::run` path re-lexes, re-parses and re-optimizes
-/// every call and materializes + renders the full result relation before
+/// The `Session::run` arm re-lexes, re-parses and re-optimizes every
+/// call and materializes + renders the full result relation before
 /// the caller sees a row. `Prepared::execute` compiles once and only
 /// binds `?` parameters per call; `Prepared::query` additionally streams
 /// the result through a cursor instead of rendering it. Same statement,

@@ -7,19 +7,20 @@
 //!   shard counts {1, 2, 7}, both directions, every attribute, at the
 //!   algebra level (raw atom streams off the sharded store) *and*
 //!   through the full SQL surface (`ORDER BY` over interned strings).
-//! * Pruned scans must answer exactly like unpruned scans: routing a
-//!   selection on the outermost nest attribute to its shard subset may
-//!   skip work, never rows.
+//! * Pruned scans must answer exactly like unpruned scans: an engine
+//!   routing a selection on the outermost nest attribute to its shard
+//!   subset may skip work, never rows.
 //!
 //! Deterministic under the vendored proptest seeds (CI pins
 //! `PROPTEST_RNG_SEED=0`).
 
+use std::collections::BTreeSet;
+
 use proptest::prelude::*;
 
 use nf2_algebra::stream::{RelStream, SortDir, TupleOrder};
-use nf2_algebra::{eval_stream, Env, Expr, StreamEnv};
+use nf2_algebra::{Env, Expr};
 use nf2_core::nest::canonical_of_flat;
-use nf2_core::relation::NfRelation;
 use nf2_core::schema::NestOrder;
 use nf2_core::shard::{ShardSpec, ShardedCanonical};
 use nf2_core::tuple::{NfTuple, TupleView};
@@ -159,27 +160,27 @@ proptest! {
         }
     }
 
-    /// Pruned scans ≡ unpruned scans: a selection on the outermost nest
-    /// attribute evaluated over the routed (pruning) sharded source
-    /// yields the same `R*` as the strict evaluator over the whole
-    /// relation, for every generator × spec and both predicate shapes
-    /// (equality and IN).
+    /// Pruned scans ≡ unpruned scans: `SELECT * FROM t WHERE <outer> IN
+    /// (…)` through an engine over a hash-sharded table, whose compiled
+    /// plan scans only the shards the values route to, yields the same
+    /// `R*` as the strict evaluator over the whole relation, for every
+    /// generator × shard count and a present value, a pair and an absent
+    /// value.
     #[test]
     fn pruned_scans_equal_unpruned_scans(seed in any::<u64>()) {
+        let name_of = |a: Atom| format!("v{:06}", a.id());
         for w in all_generators(seed) {
-            let arity = w.flat.schema().arity();
-            let order = NestOrder::identity(arity);
-            let outer = order.attr_at(arity - 1);
-            let outer_name: String = w
+            let names: Vec<String> = w.flat.schema().attr_names().map(str::to_owned).collect();
+            let refs: Vec<&str> = names.iter().map(String::as_str).collect();
+            let rows: Vec<Vec<String>> = w
                 .flat
-                .schema()
-                .attr_names()
-                .nth(outer)
-                .unwrap()
-                .to_owned();
-            let whole = canonical_of_flat(&w.flat, &order);
-            let mut env_strict = Env::new();
-            env_strict.insert("t", whole.clone());
+                .rows()
+                .map(|r| r.iter().map(|&a| name_of(a)).collect())
+                .collect();
+            let order = NestOrder::identity(names.len());
+            let outer = order.attr_at(names.len() - 1);
+            let mut env = Env::new();
+            env.insert("t", canonical_of_flat(&w.flat, &order));
             // Values to select: a present value, a pair, and an absent one.
             let mut present: Vec<Atom> = w.flat.rows().map(|r| r[outer]).collect();
             present.sort_unstable();
@@ -190,37 +191,45 @@ proptest! {
                 vec![Atom(u32::MAX - 1)],
             ];
             for shards in [2usize, 7] {
-                let sharded = ShardedCanonical::from_flat(
-                    &w.flat,
+                let engine = Engine::builder().shards(shards).build().unwrap();
+                let row_refs: Vec<Vec<&str>> =
+                    rows.iter().map(|r| r.iter().map(String::as_str).collect()).collect();
+                let table = NfTable::bulk_load_strs_sharded(
+                    "t",
+                    &refs,
+                    row_refs,
                     order.clone(),
                     ShardSpec::hash(shards).unwrap(),
+                    engine.dict().clone(),
                 )
                 .unwrap();
-                let shard_rels: Vec<&NfRelation> = (0..sharded.shard_count())
-                    .map(|i| sharded.shard(i).relation())
-                    .collect();
-                let mut env = StreamEnv::new();
-                env.insert_sharded_relations_routed(
-                    "t",
-                    w.flat.schema().clone(),
-                    shard_rels,
-                    sharded.router().clone(),
-                );
+                engine.attach_table(table).unwrap();
+                let session = engine.session();
                 for values in &value_sets {
+                    let list: Vec<String> =
+                        values.iter().map(|&a| format!("'{}'", name_of(a))).collect();
+                    let sql = format!("SELECT * FROM t WHERE {} IN ({})", names[outer], list.join(", "));
+                    let pruned: BTreeSet<Vec<String>> = session
+                        .query(&sql)
+                        .unwrap()
+                        .flat_map(|t| t.into_owned().expand().collect::<Vec<_>>())
+                        .map(|row| row.iter().map(|&a| engine.dict().resolve_or_id(a)).collect())
+                        .collect();
                     let expr = Expr::SelectBox {
                         input: Box::new(Expr::rel("t")),
-                        constraints: vec![(outer_name.clone(), values.clone())],
+                        constraints: vec![(names[outer].clone(), values.clone())],
                     };
-                    let pruned = eval_stream(&expr, &env)
+                    let strict: BTreeSet<Vec<String>> = expr
+                        .eval(&env)
                         .unwrap()
-                        .into_relation()
-                        .unwrap();
-                    let strict = expr.eval(&env_strict).unwrap();
+                        .expand()
+                        .rows()
+                        .map(|r| r.iter().map(|&a| name_of(a)).collect())
+                        .collect();
                     prop_assert_eq!(
-                        pruned.expand().into_rows(),
-                        strict.expand().into_rows(),
-                        "{} shards {} values {:?}",
-                        w.label, shards, values
+                        pruned, strict,
+                        "{} shards {} sql {}",
+                        w.label, shards, sql
                     );
                 }
             }

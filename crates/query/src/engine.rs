@@ -13,9 +13,6 @@
 //! 3. [`crate::Prepared`] re-executes a parsed + optimized plan
 //!    with `?` parameters bound per call — no re-lex, no re-parse, no
 //!    re-optimize.
-//!
-//! The original string-in/string-out [`Database`](crate::Database) API
-//! survives as a thin shim over an `Engine` plus one implicit session.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -591,17 +588,6 @@ pub struct Session<'e> {
 }
 
 impl<'e> Session<'e> {
-    /// Re-opens a session with saved transaction state (the `Database`
-    /// shim persists its txn across per-call sessions).
-    pub(crate) fn resume(engine: &'e Engine, txn: Option<Vec<Undo>>) -> Self {
-        Session { engine, txn }
-    }
-
-    /// Detaches the transaction state (shim plumbing).
-    pub(crate) fn take_txn(&mut self) -> Option<Vec<Undo>> {
-        self.txn.take()
-    }
-
     /// The underlying engine.
     pub fn engine(&self) -> &Engine {
         self.engine

@@ -1,18 +1,11 @@
-//! Outputs, errors, and the `Database` compatibility shim.
+//! Outputs and errors.
 //!
 //! Statement execution itself lives in [`crate::engine`] (the
 //! [`crate::Session`] type); this module keeps the pieces every
-//! layer shares — [`Output`], [`QueryError`] — plus [`Database`], the
-//! original string-in/string-out API, now a thin wrapper over an
-//! [`crate::Engine`] with one implicit session.
+//! layer shares — [`Output`] and [`QueryError`].
 
 use std::fmt;
-use std::sync::Arc;
 
-use nf2_storage::{NfTable, SharedDictionary};
-
-use crate::ast::Statement;
-use crate::engine::{Engine, Session, Undo};
 use crate::parser::ParseError;
 
 /// Errors from statement execution.
@@ -151,123 +144,46 @@ impl fmt::Display for Output {
     }
 }
 
-/// The original embedded-database API — **deprecated but stable**.
-///
-/// `Database` predates the [`Engine`]/[`Session`]/
-/// [`Prepared`](crate::Prepared) split and re-parses every statement it
-/// runs. It is kept as a thin shim (an `Engine` plus one implicit
-/// session whose transaction state persists across calls) so existing
-/// code and scripts keep working unchanged; new code should use
-/// [`Engine::builder`] — see the crate docs for the migration shape.
-/// No functionality will be removed from this type, but new features
-/// (parameters, cursors, plan caching) land on the engine surface only.
-#[derive(Debug, Default)]
-pub struct Database {
-    engine: Engine,
-    /// Undo log of the open transaction, carried across per-call
-    /// sessions.
-    txn: Option<Vec<Undo>>,
-}
-
-impl Database {
-    /// An empty database.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The shared dictionary.
-    pub fn dict(&self) -> &SharedDictionary {
-        self.engine.dict()
-    }
-
-    /// The underlying engine (read-only; open a [`Session`] through
-    /// [`Database::engine_mut`] for the full new API).
-    pub fn engine(&self) -> &Engine {
-        &self.engine
-    }
-
-    /// Mutable access to the underlying engine.
-    ///
-    /// Note: sessions opened on it do **not** see this shim's open
-    /// transaction (the undo log stays here until the next
-    /// `run`/`execute` call).
-    pub fn engine_mut(&mut self) -> &mut Engine {
-        &mut self.engine
-    }
-
-    /// Unwraps into the underlying engine, discarding any open
-    /// transaction's undo log.
-    pub fn into_engine(self) -> Engine {
-        self.engine
-    }
-
-    /// Shared access to a table (tables are internally synchronized —
-    /// see [`Engine::table`]).
-    pub fn table(&self, name: &str) -> Result<Arc<NfTable>, QueryError> {
-        self.engine.table(name)
-    }
-
-    /// Runs `f` in a session that resumes (and then re-saves) the shim's
-    /// transaction state.
-    fn with_session<R>(&mut self, f: impl FnOnce(&mut Session<'_>) -> R) -> R {
-        let mut session = Session::resume(&self.engine, self.txn.take());
-        let out = f(&mut session);
-        self.txn = session.take_txn();
-        out
-    }
-
-    /// Parses and executes a whole script, returning one output per
-    /// statement.
-    pub fn run_script(&mut self, script: &str) -> Result<Vec<Output>, QueryError> {
-        self.with_session(|s| s.run_script(script))
-    }
-
-    /// Parses and executes a single statement.
-    pub fn run(&mut self, statement: &str) -> Result<Output, QueryError> {
-        self.with_session(|s| s.run(statement))
-    }
-
-    /// Executes a parsed statement.
-    pub fn execute(&mut self, stmt: Statement) -> Result<Output, QueryError> {
-        self.with_session(|s| s.execute(stmt))
-    }
-}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{Engine, Session};
 
-    fn seeded_db() -> Database {
-        let mut db = Database::new();
-        db.run_script(
+    fn seeded(engine: &Engine) -> Session<'_> {
+        let mut s = engine.session();
+        s.run_script(
             "CREATE TABLE sc (Student, Course, Club) NEST ORDER (Student, Course, Club);\n\
              INSERT INTO sc VALUES ('s1','c1','b1'), ('s2','c1','b1'), ('s1','c2','b1');",
         )
         .unwrap();
-        db
+        s
     }
 
     #[test]
     fn create_insert_show_flow() {
-        let mut db = seeded_db();
-        let out = db.run("SHOW sc").unwrap();
+        let engine = Engine::default();
+        let mut s = seeded(&engine);
+        let out = s.run("SHOW sc").unwrap();
         let text = out.to_text();
         assert!(text.contains("Student"));
-        assert!(db.table("sc").unwrap().flat_count() == 3);
+        assert!(engine.table("sc").unwrap().flat_count() == 3);
     }
 
     #[test]
     fn duplicate_create_fails() {
-        let mut db = seeded_db();
+        let engine = Engine::default();
+        let mut s = seeded(&engine);
         assert!(matches!(
-            db.run("CREATE TABLE sc (A)"),
+            s.run("CREATE TABLE sc (A)"),
             Err(QueryError::TableExists(_))
         ));
     }
 
     #[test]
     fn insert_counts_new_rows_only() {
-        let mut db = seeded_db();
-        let out = db
+        let engine = Engine::default();
+        let mut s = seeded(&engine);
+        let out = s
             .run("INSERT INTO sc VALUES ('s1','c1','b1'), ('s9','c9','b9')")
             .unwrap();
         assert!(matches!(out, Output::Affected(1)));
@@ -275,10 +191,9 @@ mod tests {
 
     #[test]
     fn select_with_predicate_and_projection() {
-        let mut db = seeded_db();
-        let out = db
-            .run("SELECT Course FROM sc WHERE Student = 's1'")
-            .unwrap();
+        let engine = Engine::default();
+        let mut s = seeded(&engine);
+        let out = s.run("SELECT Course FROM sc WHERE Student = 's1'").unwrap();
         match out {
             Output::Relation { relation, .. } => {
                 assert_eq!(relation.expand().len(), 2, "s1 takes c1 and c2");
@@ -290,8 +205,9 @@ mod tests {
 
     #[test]
     fn select_unknown_value_is_empty_not_error() {
-        let mut db = seeded_db();
-        let out = db.run("SELECT * FROM sc WHERE Student = 'ghost'").unwrap();
+        let engine = Engine::default();
+        let mut s = seeded(&engine);
+        let out = s.run("SELECT * FROM sc WHERE Student = 'ghost'").unwrap();
         match out {
             Output::Relation { relation, .. } => assert!(relation.is_empty()),
             other => panic!("unexpected {other:?}"),
@@ -300,75 +216,83 @@ mod tests {
 
     #[test]
     fn select_unknown_attr_is_error() {
-        let mut db = seeded_db();
-        assert!(db.run("SELECT * FROM sc WHERE Nope = 's1'").is_err());
+        let engine = Engine::default();
+        let mut s = seeded(&engine);
+        assert!(s.run("SELECT * FROM sc WHERE Nope = 's1'").is_err());
     }
 
     #[test]
     fn delete_with_partial_predicate() {
-        let mut db = seeded_db();
-        let out = db.run("DELETE FROM sc WHERE Student = 's1'").unwrap();
+        let engine = Engine::default();
+        let mut s = seeded(&engine);
+        let out = s.run("DELETE FROM sc WHERE Student = 's1'").unwrap();
         assert!(matches!(out, Output::Affected(2)));
-        assert_eq!(db.table("sc").unwrap().flat_count(), 1);
+        assert_eq!(engine.table("sc").unwrap().flat_count(), 1);
     }
 
     #[test]
     fn delete_everything_with_empty_where() {
-        let mut db = seeded_db();
-        let out = db.run("DELETE FROM sc").unwrap();
+        let engine = Engine::default();
+        let mut s = seeded(&engine);
+        let out = s.run("DELETE FROM sc").unwrap();
         assert!(matches!(out, Output::Affected(3)));
-        assert_eq!(db.table("sc").unwrap().flat_count(), 0);
+        assert_eq!(engine.table("sc").unwrap().flat_count(), 0);
     }
 
     #[test]
     fn nest_and_unnest_are_ad_hoc() {
-        let mut db = seeded_db();
-        let nested = db.run("NEST sc ON Student").unwrap();
+        let engine = Engine::default();
+        let mut s = seeded(&engine);
+        let nested = s.run("NEST sc ON Student").unwrap();
         match nested {
             Output::Relation { relation, .. } => {
-                assert!(relation.tuple_count() <= db.table("sc").unwrap().tuple_count());
+                assert!(relation.tuple_count() <= engine.table("sc").unwrap().tuple_count());
             }
             other => panic!("unexpected {other:?}"),
         }
         // The stored table is unchanged.
-        assert_eq!(db.table("sc").unwrap().flat_count(), 3);
-        assert!(db.run("UNNEST sc ON Student").is_ok());
+        assert_eq!(engine.table("sc").unwrap().flat_count(), 3);
+        assert!(s.run("UNNEST sc ON Student").is_ok());
     }
 
     #[test]
     fn show_flat_renders_rows() {
-        let mut db = seeded_db();
-        let out = db.run("SHOW FLAT sc").unwrap();
+        let engine = Engine::default();
+        let mut s = seeded(&engine);
+        let out = s.run("SHOW FLAT sc").unwrap();
         let text = out.to_text();
         assert!(text.matches("s1").count() >= 2, "two s1 rows in R*: {text}");
     }
 
     #[test]
     fn tables_lists_catalog() {
-        let mut db = seeded_db();
-        let out = db.run("TABLES").unwrap();
+        let engine = Engine::default();
+        let mut s = seeded(&engine);
+        let out = s.run("TABLES").unwrap();
         assert!(out.to_text().contains("sc:"));
-        db.run("DROP TABLE sc").unwrap();
-        assert!(db.run("TABLES").unwrap().to_text().contains("no tables"));
+        s.run("DROP TABLE sc").unwrap();
+        assert!(s.run("TABLES").unwrap().to_text().contains("no tables"));
     }
 
     #[test]
     fn stats_reports_realization_numbers() {
-        let mut db = seeded_db();
-        db.run("SELECT * FROM sc WHERE Student = 's1'").unwrap();
-        let text = db.run("STATS sc").unwrap().to_text();
+        let engine = Engine::default();
+        let mut s = seeded(&engine);
+        s.run("SELECT * FROM sc WHERE Student = 's1'").unwrap();
+        let text = s.run("STATS sc").unwrap().to_text();
         assert!(text.contains("3 flat rows"), "{text}");
         assert!(text.contains("compression"), "{text}");
         assert!(text.contains("recons calls"), "{text}");
         assert!(text.contains("3 inserts"), "{text}");
-        assert!(db.run("STATS ghost").is_err());
+        assert!(s.run("STATS ghost").is_err());
     }
 
     #[test]
     fn drop_missing_table_errors() {
-        let mut db = Database::new();
+        let engine = Engine::default();
+        let mut s = engine.session();
         assert!(matches!(
-            db.run("DROP TABLE ghost"),
+            s.run("DROP TABLE ghost"),
             Err(QueryError::NoSuchTable(_))
         ));
     }
@@ -383,23 +307,25 @@ mod tests {
 #[cfg(test)]
 mod join_explain_tests {
     use super::*;
+    use crate::engine::{Engine, Session};
 
-    fn db_with_two_tables() -> Database {
-        let mut db = Database::new();
-        db.run_script(
+    fn db_with_two_tables(engine: &Engine) -> Session<'_> {
+        let mut s = engine.session();
+        s.run_script(
             "CREATE TABLE sc (Student, Course);
              INSERT INTO sc VALUES ('s1','c1'), ('s2','c1'), ('s1','c2');
              CREATE TABLE cp (Course, Prof);
              INSERT INTO cp VALUES ('c1','p1'), ('c2','p2');",
         )
         .unwrap();
-        db
+        s
     }
 
     #[test]
     fn select_join_matches_flat_join() {
-        let mut db = db_with_two_tables();
-        let out = db.run("SELECT * FROM sc JOIN cp").unwrap();
+        let engine = Engine::default();
+        let mut s = db_with_two_tables(&engine);
+        let out = s.run("SELECT * FROM sc JOIN cp").unwrap();
         match out {
             Output::Relation { relation, .. } => {
                 assert_eq!(relation.arity(), 3, "Student, Course, Prof");
@@ -411,8 +337,9 @@ mod join_explain_tests {
 
     #[test]
     fn select_join_with_predicate_and_projection() {
-        let mut db = db_with_two_tables();
-        let out = db
+        let engine = Engine::default();
+        let mut s = db_with_two_tables(&engine);
+        let out = s
             .run("SELECT Student FROM sc JOIN cp WHERE Prof = 'p1'")
             .unwrap();
         match out {
@@ -425,17 +352,19 @@ mod join_explain_tests {
 
     #[test]
     fn join_with_missing_table_errors() {
-        let mut db = db_with_two_tables();
+        let engine = Engine::default();
+        let mut s = db_with_two_tables(&engine);
         assert!(matches!(
-            db.run("SELECT * FROM sc JOIN ghost"),
+            s.run("SELECT * FROM sc JOIN ghost"),
             Err(QueryError::NoSuchTable(_))
         ));
     }
 
     #[test]
     fn explain_renders_plan_tree() {
-        let mut db = db_with_two_tables();
-        let out = db
+        let engine = Engine::default();
+        let mut s = db_with_two_tables(&engine);
+        let out = s
             .run("EXPLAIN SELECT Student FROM sc JOIN cp WHERE Prof = 'p1'")
             .unwrap();
         let text = out.to_text();
@@ -448,8 +377,9 @@ mod join_explain_tests {
 
     #[test]
     fn explain_of_impossible_predicate() {
-        let mut db = db_with_two_tables();
-        let out = db
+        let engine = Engine::default();
+        let mut s = db_with_two_tables(&engine);
+        let out = s
             .run("EXPLAIN SELECT * FROM sc WHERE Student = 'ghost'")
             .unwrap();
         assert!(out.to_text().contains("empty result"));
@@ -457,112 +387,120 @@ mod join_explain_tests {
 
     #[test]
     fn explain_non_select_is_rejected_at_parse() {
-        let mut db = db_with_two_tables();
-        assert!(db.run("EXPLAIN SHOW sc").is_err());
+        let engine = Engine::default();
+        let mut s = db_with_two_tables(&engine);
+        assert!(s.run("EXPLAIN SHOW sc").is_err());
     }
 }
 
 #[cfg(test)]
 mod transaction_tests {
-    use super::*;
+    use crate::engine::{Engine, Session};
     use nf2_core::relation::NfRelation;
 
-    fn db() -> Database {
-        let mut db = Database::new();
-        db.run_script(
+    fn seeded(engine: &Engine) -> Session<'_> {
+        let mut s = engine.session();
+        s.run_script(
             "CREATE TABLE sc (Student, Course);
              INSERT INTO sc VALUES ('s1','c1'), ('s2','c1'), ('s1','c2');",
         )
         .unwrap();
-        db
+        s
     }
 
-    fn snapshot(db: &Database) -> NfRelation {
-        (*db.table("sc").unwrap().relation()).clone()
+    fn snapshot(engine: &Engine) -> NfRelation {
+        (*engine.table("sc").unwrap().relation()).clone()
     }
 
     #[test]
     fn rollback_restores_the_exact_relation() {
-        let mut db = db();
-        let before = snapshot(&db);
-        db.run("BEGIN").unwrap();
-        db.run("INSERT INTO sc VALUES ('s9','c9'), ('s9','c1')")
+        let engine = Engine::default();
+        let mut s = seeded(&engine);
+        let before = snapshot(&engine);
+        s.run("BEGIN").unwrap();
+        s.run("INSERT INTO sc VALUES ('s9','c9'), ('s9','c1')")
             .unwrap();
-        db.run("DELETE FROM sc WHERE Student = 's1'").unwrap();
-        db.run("UPDATE sc SET Course = 'c7' WHERE Student = 's2'")
+        s.run("DELETE FROM sc WHERE Student = 's1'").unwrap();
+        s.run("UPDATE sc SET Course = 'c7' WHERE Student = 's2'")
             .unwrap();
-        assert_ne!(snapshot(&db), before, "mutations visible inside the txn");
-        let out = db.run("ROLLBACK").unwrap();
+        assert_ne!(
+            snapshot(&engine),
+            before,
+            "mutations visible inside the txn"
+        );
+        let out = s.run("ROLLBACK").unwrap();
         assert!(out.to_text().contains("rolled back"), "{}", out.to_text());
         assert_eq!(
-            snapshot(&db),
+            snapshot(&engine),
             before,
             "rollback restores the canonical form"
         );
         // And the restored relation is still canonical for its order.
-        let t = db.table("sc").unwrap();
+        let t = engine.table("sc").unwrap();
         let fresh = nf2_core::nest::canonical_of_flat(&t.relation().expand(), t.order());
         assert_eq!(*t.relation(), fresh);
     }
 
     #[test]
     fn commit_keeps_changes() {
-        let mut db = db();
-        db.run("BEGIN").unwrap();
-        db.run("INSERT INTO sc VALUES ('s9','c9')").unwrap();
-        db.run("COMMIT").unwrap();
-        assert_eq!(db.table("sc").unwrap().flat_count(), 4);
+        let engine = Engine::default();
+        let mut s = seeded(&engine);
+        s.run("BEGIN").unwrap();
+        s.run("INSERT INTO sc VALUES ('s9','c9')").unwrap();
+        s.run("COMMIT").unwrap();
+        assert_eq!(engine.table("sc").unwrap().flat_count(), 4);
         // After commit there is nothing to roll back.
-        assert!(db.run("ROLLBACK").is_err());
+        assert!(s.run("ROLLBACK").is_err());
     }
 
     #[test]
     fn rollback_of_update_collision_is_exact() {
-        let mut db = db();
-        let before = snapshot(&db);
-        db.run("BEGIN").unwrap();
+        let engine = Engine::default();
+        let mut s = seeded(&engine);
+        let before = snapshot(&engine);
+        s.run("BEGIN").unwrap();
         // (s1,c1) → (s1,c2) collides with the existing (s1,c2).
-        db.run("UPDATE sc SET Course = 'c2' WHERE Course = 'c1'")
+        s.run("UPDATE sc SET Course = 'c2' WHERE Course = 'c1'")
             .unwrap();
-        db.run("ROLLBACK").unwrap();
-        assert_eq!(snapshot(&db), before);
+        s.run("ROLLBACK").unwrap();
+        assert_eq!(snapshot(&engine), before);
     }
 
     #[test]
     fn chained_updates_roll_back_through_intermediates() {
-        let mut db = db();
-        let before = snapshot(&db);
-        db.run("BEGIN").unwrap();
-        db.run("UPDATE sc SET Course = 'cX' WHERE Course = 'c1'")
+        let engine = Engine::default();
+        let mut s = seeded(&engine);
+        let before = snapshot(&engine);
+        s.run("BEGIN").unwrap();
+        s.run("UPDATE sc SET Course = 'cX' WHERE Course = 'c1'")
             .unwrap();
-        db.run("UPDATE sc SET Course = 'cY' WHERE Course = 'cX'")
+        s.run("UPDATE sc SET Course = 'cY' WHERE Course = 'cX'")
             .unwrap();
-        db.run("ROLLBACK").unwrap();
-        assert_eq!(snapshot(&db), before);
+        s.run("ROLLBACK").unwrap();
+        assert_eq!(snapshot(&engine), before);
     }
 
     #[test]
     fn transaction_state_errors() {
-        let mut db = db();
-        assert!(db.run("COMMIT").is_err(), "no txn open");
-        assert!(db.run("ROLLBACK").is_err());
-        db.run("BEGIN").unwrap();
-        assert!(db.run("BEGIN").is_err(), "nested BEGIN rejected");
-        assert!(
-            db.run("CREATE TABLE t2 (A)").is_err(),
-            "DDL in txn rejected"
-        );
-        assert!(db.run("DROP TABLE sc").is_err(), "DDL in txn rejected");
-        db.run("COMMIT").unwrap();
-        db.run("CREATE TABLE t2 (A)").unwrap();
+        let engine = Engine::default();
+        let mut s = seeded(&engine);
+        assert!(s.run("COMMIT").is_err(), "no txn open");
+        assert!(s.run("ROLLBACK").is_err());
+        s.run("BEGIN").unwrap();
+        assert!(s.run("BEGIN").is_err(), "nested BEGIN rejected");
+        assert!(s.run("CREATE TABLE t2 (A)").is_err(), "DDL in txn rejected");
+        assert!(s.run("DROP TABLE sc").is_err(), "DDL in txn rejected");
+        s.run("COMMIT").unwrap();
+        s.run("CREATE TABLE t2 (A)").unwrap();
     }
 
     #[test]
     fn autocommit_mutations_bypass_the_log() {
-        let mut db = db();
-        db.run("INSERT INTO sc VALUES ('s9','c9')").unwrap();
-        db.run("BEGIN").unwrap();
-        let out = db.run("COMMIT").unwrap();
+        let engine = Engine::default();
+        let mut s = seeded(&engine);
+        s.run("INSERT INTO sc VALUES ('s9','c9')").unwrap();
+        s.run("BEGIN").unwrap();
+        let out = s.run("COMMIT").unwrap();
         assert!(
             out.to_text().contains("(0 row mutation(s))"),
             "{}",
@@ -572,27 +510,29 @@ mod transaction_tests {
 
     #[test]
     fn rollback_spans_multiple_tables() {
-        let mut db = db();
-        db.run_script("CREATE TABLE cp (Course, Prof); INSERT INTO cp VALUES ('c1','p1');")
+        let engine = Engine::default();
+        let mut s = seeded(&engine);
+        s.run_script("CREATE TABLE cp (Course, Prof); INSERT INTO cp VALUES ('c1','p1');")
             .unwrap();
-        let sc_before = snapshot(&db);
-        let cp_before = db.table("cp").unwrap().relation();
-        db.run("BEGIN").unwrap();
-        db.run("DELETE FROM sc WHERE Course = 'c1'").unwrap();
-        db.run("INSERT INTO cp VALUES ('c2','p2')").unwrap();
-        db.run("ROLLBACK").unwrap();
-        assert_eq!(snapshot(&db), sc_before);
-        assert_eq!(db.table("cp").unwrap().relation(), cp_before);
+        let sc_before = snapshot(&engine);
+        let cp_before = engine.table("cp").unwrap().relation();
+        s.run("BEGIN").unwrap();
+        s.run("DELETE FROM sc WHERE Course = 'c1'").unwrap();
+        s.run("INSERT INTO cp VALUES ('c2','p2')").unwrap();
+        s.run("ROLLBACK").unwrap();
+        assert_eq!(snapshot(&engine), sc_before);
+        assert_eq!(engine.table("cp").unwrap().relation(), cp_before);
     }
 }
 
 #[cfg(test)]
 mod extended_select_tests {
     use super::*;
+    use crate::engine::{Engine, Session};
 
-    fn db() -> Database {
-        let mut db = Database::new();
-        db.run_script(
+    fn seeded(engine: &Engine) -> Session<'_> {
+        let mut s = engine.session();
+        s.run_script(
             "CREATE TABLE sc (Student, Course);
              INSERT INTO sc VALUES ('s1','c1'), ('s2','c1'), ('s1','c2'), ('s3','c3');
              CREATE TABLE cp (Course, Prof);
@@ -601,13 +541,14 @@ mod extended_select_tests {
              INSERT INTO pd VALUES ('p1','d1'), ('p2','d2');",
         )
         .unwrap();
-        db
+        s
     }
 
     #[test]
     fn in_predicate_selects_value_set() {
-        let mut db = db();
-        let out = db
+        let engine = Engine::default();
+        let mut s = seeded(&engine);
+        let out = s
             .run("SELECT * FROM sc WHERE Student IN ('s1', 's3')")
             .unwrap();
         match out {
@@ -618,9 +559,10 @@ mod extended_select_tests {
 
     #[test]
     fn in_predicate_with_partially_unknown_values() {
-        let mut db = db();
+        let engine = Engine::default();
+        let mut s = seeded(&engine);
         // 'ghost' was never interned; the IN degrades to {s1}.
-        let out = db
+        let out = s
             .run("SELECT * FROM sc WHERE Student IN ('s1', 'ghost')")
             .unwrap();
         match out {
@@ -628,7 +570,7 @@ mod extended_select_tests {
             other => panic!("unexpected {other:?}"),
         }
         // All unknown: statically empty.
-        let out = db
+        let out = s
             .run("SELECT * FROM sc WHERE Student IN ('ghostA', 'ghostB')")
             .unwrap();
         match out {
@@ -639,13 +581,14 @@ mod extended_select_tests {
 
     #[test]
     fn delete_and_update_accept_in_predicates() {
-        let mut db = db();
-        let out = db
+        let engine = Engine::default();
+        let mut s = seeded(&engine);
+        let out = s
             .run("DELETE FROM sc WHERE Student IN ('s1','s2')")
             .unwrap();
         assert!(matches!(out, Output::Affected(3)));
-        assert_eq!(db.table("sc").unwrap().flat_count(), 1);
-        let out = db
+        assert_eq!(engine.table("sc").unwrap().flat_count(), 1);
+        let out = s
             .run("UPDATE cp SET Prof = 'p9' WHERE Course IN ('c1','c2')")
             .unwrap();
         assert!(matches!(out, Output::Affected(2)));
@@ -653,19 +596,20 @@ mod extended_select_tests {
 
     #[test]
     fn count_star_counts_flat_rows() {
-        let mut db = db();
-        match db.run("SELECT COUNT(*) FROM sc").unwrap() {
+        let engine = Engine::default();
+        let mut s = seeded(&engine);
+        match s.run("SELECT COUNT(*) FROM sc").unwrap() {
             Output::Count(n) => assert_eq!(n, 4),
             other => panic!("unexpected {other:?}"),
         }
-        match db
+        match s
             .run("SELECT COUNT(*) FROM sc WHERE Course = 'c1'")
             .unwrap()
         {
             Output::Count(n) => assert_eq!(n, 2),
             other => panic!("unexpected {other:?}"),
         }
-        match db
+        match s
             .run("SELECT COUNT(*) FROM sc WHERE Course = 'ghost'")
             .unwrap()
         {
@@ -676,12 +620,13 @@ mod extended_select_tests {
 
     #[test]
     fn count_distinct_projects_first() {
-        let mut db = db();
-        match db.run("SELECT COUNT(DISTINCT Student) FROM sc").unwrap() {
+        let engine = Engine::default();
+        let mut s = seeded(&engine);
+        match s.run("SELECT COUNT(DISTINCT Student) FROM sc").unwrap() {
             Output::Count(n) => assert_eq!(n, 3, "s1, s2, s3"),
             other => panic!("unexpected {other:?}"),
         }
-        match db
+        match s
             .run("SELECT COUNT(DISTINCT Course) FROM sc WHERE Student = 's1'")
             .unwrap()
         {
@@ -693,9 +638,10 @@ mod extended_select_tests {
 
     #[test]
     fn three_way_join_chains_naturally() {
-        let mut db = db();
+        let engine = Engine::default();
+        let mut s = seeded(&engine);
         // sc ⋈ cp ⋈ pd: Student-Course-Prof-Dept.
-        let out = db
+        let out = s
             .run("SELECT Student, Dept FROM sc JOIN cp JOIN pd")
             .unwrap();
         match out {
@@ -710,8 +656,9 @@ mod extended_select_tests {
 
     #[test]
     fn explain_optimized_shows_rewrites_and_costs() {
-        let mut db = db();
-        let out = db
+        let engine = Engine::default();
+        let mut s = seeded(&engine);
+        let out = s
             .run("EXPLAIN OPTIMIZED SELECT Student FROM sc JOIN cp WHERE Prof = 'p1'")
             .unwrap();
         let text = out.to_text();
@@ -723,8 +670,9 @@ mod extended_select_tests {
 
     #[test]
     fn explain_optimized_with_nothing_to_do() {
-        let mut db = db();
-        let text = db
+        let engine = Engine::default();
+        let mut s = seeded(&engine);
+        let text = s
             .run("EXPLAIN OPTIMIZED SELECT * FROM sc")
             .unwrap()
             .to_text();
@@ -733,10 +681,11 @@ mod extended_select_tests {
 
     #[test]
     fn optimized_execution_matches_unoptimized_semantics() {
-        let mut db = db();
+        let engine = Engine::default();
+        let mut s = seeded(&engine);
         // The executor optimizes structurally; spot-check a plan where
         // pushdown definitely fires against the by-hand expected rows.
-        let out = db
+        let out = s
             .run("SELECT Student FROM sc JOIN cp WHERE Prof = 'p1' AND Student IN ('s1','s2')")
             .unwrap();
         match out {
@@ -752,43 +701,46 @@ mod extended_select_tests {
 #[cfg(test)]
 mod update_tests {
     use super::*;
+    use crate::engine::{Engine, Session};
 
-    fn db() -> Database {
-        let mut db = Database::new();
-        db.run_script(
+    fn seeded(engine: &Engine) -> Session<'_> {
+        let mut s = engine.session();
+        s.run_script(
             "CREATE TABLE sc (Student, Course);
              INSERT INTO sc VALUES ('s1','c1'), ('s2','c1'), ('s1','c2');",
         )
         .unwrap();
-        db
+        s
     }
 
     #[test]
     fn update_rewrites_matching_rows() {
-        let mut db = db();
-        let out = db
+        let engine = Engine::default();
+        let mut s = seeded(&engine);
+        let out = s
             .run("UPDATE sc SET Course = 'c9' WHERE Student = 's1'")
             .unwrap();
         assert!(matches!(out, Output::Affected(2)));
         // Both of s1's rows map to (s1, c9): set semantics collapse them.
-        let t = db.table("sc").unwrap();
+        let t = engine.table("sc").unwrap();
         assert_eq!(t.flat_count(), 2);
-        let c9 = db.dict().lookup("c9").unwrap();
+        let c9 = engine.dict().lookup("c9").unwrap();
         let hits: usize = t.relation().expand().rows().filter(|r| r[1] == c9).count();
         assert_eq!(hits, 1);
     }
 
     #[test]
     fn update_collision_collapses_by_set_semantics() {
-        let mut db = db();
+        let engine = Engine::default();
+        let mut s = seeded(&engine);
         // Rewriting s2's course to c2 creates (s2,c2); rewriting s1's c1
         // to c2 collides with the existing (s1,c2) and collapses.
-        let out = db
+        let out = s
             .run("UPDATE sc SET Course = 'c2' WHERE Course = 'c1'")
             .unwrap();
         assert!(matches!(out, Output::Affected(2)));
         assert_eq!(
-            db.table("sc").unwrap().flat_count(),
+            engine.table("sc").unwrap().flat_count(),
             2,
             "(s1,c2) and (s2,c2)"
         );
@@ -796,18 +748,20 @@ mod update_tests {
 
     #[test]
     fn update_with_unknown_value_is_noop() {
-        let mut db = db();
-        let out = db
+        let engine = Engine::default();
+        let mut s = seeded(&engine);
+        let out = s
             .run("UPDATE sc SET Course = 'c9' WHERE Student = 'ghost'")
             .unwrap();
         assert!(matches!(out, Output::Affected(0)));
-        assert_eq!(db.table("sc").unwrap().flat_count(), 3);
+        assert_eq!(engine.table("sc").unwrap().flat_count(), 3);
     }
 
     #[test]
     fn update_identity_assignment_is_noop() {
-        let mut db = db();
-        let out = db
+        let engine = Engine::default();
+        let mut s = seeded(&engine);
+        let out = s
             .run("UPDATE sc SET Course = 'c1' WHERE Course = 'c1'")
             .unwrap();
         assert!(matches!(out, Output::Affected(0)));
@@ -815,16 +769,18 @@ mod update_tests {
 
     #[test]
     fn update_keeps_canonical_invariant() {
-        let mut db = db();
-        db.run("UPDATE sc SET Student = 's9'").unwrap();
-        let t = db.table("sc").unwrap();
+        let engine = Engine::default();
+        let mut s = seeded(&engine);
+        s.run("UPDATE sc SET Student = 's9'").unwrap();
+        let t = engine.table("sc").unwrap();
         let oracle = nf2_core::nest::canonical_of_flat(&t.relation().expand(), t.order());
         assert_eq!(*t.relation(), oracle);
     }
 
     #[test]
     fn update_unknown_attr_errors() {
-        let mut db = db();
-        assert!(db.run("UPDATE sc SET Nope = 'x'").is_err());
+        let engine = Engine::default();
+        let mut s = seeded(&engine);
+        assert!(s.run("UPDATE sc SET Nope = 'x'").is_err());
     }
 }

@@ -33,7 +33,7 @@ pub(crate) mod verify;
 pub use ast::{EqPredicate, Projection, Statement, Value};
 pub use cursor::{Cursor, FlatRows};
 pub use engine::{Engine, EngineBuilder, Session};
-pub use exec::{Database, Output, QueryError};
+pub use exec::{Output, QueryError};
 pub use parser::{parse, parse_script, ParseError};
 pub use prepare::{Param, Prepared, NO_PARAMS};
 pub use token::{lex, LexError, Token};

@@ -231,7 +231,7 @@ pub(crate) struct AnalyzeReport {
 impl PhysPlan {
     /// Compiles an optimized planner expression. `Ok(None)` when the
     /// expression contains a node shape the physical executor does not
-    /// cover (execution then falls back to [`eval_stream`]).
+    /// cover; preparing the statement then fails with a semantic error.
     ///
     /// The `flat` constraint numbering follows the same traversal as
     /// `SelectPlan::bind_flat`: each `SelectBox`'s own entries first,
@@ -1233,8 +1233,8 @@ impl SelectPlan {
 }
 
 /// Executes a bound select plan to a materialized [`Output`] — the
-/// one-shot `run()`/`Database` semantics (aggregates count, everything
-/// else renders a relation).
+/// one-shot [`Session::run`](crate::Session::run) semantics (aggregates
+/// count, everything else renders a relation).
 pub(crate) fn execute_select<P: AsRef<str>>(
     engine: &Engine,
     plan: &mut SelectPlan,

@@ -8,8 +8,6 @@
 //! * [`codec`] — compact binary tuple encoding with checksums;
 //! * [`page`] — 8 KiB slotted pages;
 //! * [`heap`] — page files with record ids and persistence;
-//! * [`bufferpool`] — bounded page frames over a paged file, with clock
-//!   eviction, pinning, and hit/miss accounting;
 //! * [`index`] — secondary hash indexes (value → record ids) with
 //!   persistence and integrity verification;
 //! * [`dictionary`] — a concurrent interning dictionary;
@@ -21,7 +19,6 @@
 //!   against — including maintained secondary indexes, so the comparison
 //!   is not against a strawman.
 
-pub mod bufferpool;
 pub mod codec;
 pub mod dictionary;
 pub mod error;
@@ -31,7 +28,6 @@ pub mod page;
 pub mod table;
 pub(crate) mod wal;
 
-pub use bufferpool::{BufferPool, PagedFile, PoolStats};
 pub use dictionary::SharedDictionary;
 pub use error::{Result, StorageError};
 pub use heap::{HeapFile, RecordId};

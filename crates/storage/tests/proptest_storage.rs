@@ -11,7 +11,7 @@ use nf2_core::value::Atom;
 use nf2_storage::codec::{
     decode_flat_tuple, decode_nf_tuple, encode_flat_tuple, encode_nf_tuple, get_varint, put_varint,
 };
-use nf2_storage::{BufferPool, HashIndex, HeapFile, NfTable, Page, PagedFile, SharedDictionary};
+use nf2_storage::{HashIndex, HeapFile, NfTable, Page, SharedDictionary};
 
 fn arb_nf_tuple() -> impl Strategy<Value = NfTuple> {
     proptest::collection::vec(proptest::collection::btree_set(0u32..10_000, 1..12), 1..5).prop_map(
@@ -95,37 +95,6 @@ proptest! {
         for (slot, rec) in &live {
             prop_assert_eq!(compacted.get(*slot).unwrap(), rec.as_slice());
         }
-    }
-
-    /// Reads through a tiny buffer pool always return the same bytes as
-    /// the backing file, whatever the access pattern and pool size.
-    #[test]
-    fn buffer_pool_is_transparent(
-        accesses in proptest::collection::vec(0u32..6, 1..80),
-        capacity in 1usize..5,
-        case_id in any::<u64>(),
-    ) {
-        let dir = std::env::temp_dir().join("nf2_pool_prop");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("pool_{case_id}.pages"));
-        let mut file = PagedFile::create(&path).unwrap();
-        let mut slots = Vec::new();
-        for id in 0..6u32 {
-            file.allocate().unwrap();
-            let mut p = file.read_page(id).unwrap();
-            let slot = p.insert(format!("payload-{id}").as_bytes()).unwrap();
-            file.write_page(&p).unwrap();
-            slots.push(slot);
-        }
-        let mut pool = BufferPool::new(file, capacity);
-        for &id in &accesses {
-            let expected = format!("payload-{id}");
-            let page = pool.fetch(id).unwrap();
-            prop_assert_eq!(page.get(slots[id as usize]).unwrap(), expected.as_bytes());
-        }
-        let s = pool.stats();
-        prop_assert_eq!(s.hits + s.misses, accesses.len() as u64);
-        std::fs::remove_file(&path).ok();
     }
 
     /// A hash index maintained through any insert/delete interleaving

@@ -47,11 +47,8 @@
 //! assert!(first.is_zero_copy(), "shared view of the pinned snapshot");
 //! ```
 //!
-//! The original [`Database`](query::Database) type (string in, rendered
-//! string out) remains available as a deprecated-but-stable shim over an
-//! engine with one implicit session — existing scripts keep working, but
-//! parameters, cursors and plan caching only exist on the engine
-//! surface.
+//! Migrating from the removed string-in/string-out shim: build an
+//! [`Engine`](query::Engine) and keep one [`Session`](query::Session) open across calls.
 
 pub use nf2_algebra as algebra;
 pub use nf2_core as core;
@@ -66,6 +63,6 @@ pub mod prelude {
     pub use nf2_algebra::{Env, Expr};
     pub use nf2_core::prelude::*;
     pub use nf2_deps::{Fd, Mvd};
-    pub use nf2_query::{Cursor, Database, Engine, Output, Param, Prepared, Session, NO_PARAMS};
+    pub use nf2_query::{Cursor, Engine, Output, Param, Prepared, Session, NO_PARAMS};
     pub use nf2_storage::{FlatTable, NfTable, SharedDictionary};
 }

@@ -8,7 +8,7 @@ use proptest::prelude::*;
 
 use nf2::core::nest::canonical_of_flat;
 use nf2::core::schema::NestOrder;
-use nf2::query::{Database, Output};
+use nf2::query::{Engine, Output, Session};
 
 /// One random DML operation over a tiny value universe.
 #[derive(Debug, Clone)]
@@ -37,14 +37,15 @@ proptest! {
     /// stored relation is always the canonical form of that shadow.
     #[test]
     fn dml_stream_matches_shadow_model(ops in proptest::collection::vec(arb_op(), 0..60)) {
-        let mut db = Database::new();
-        db.run("CREATE TABLE t (A, B) NEST ORDER (A, B)").unwrap();
+        let engine = Engine::default();
+        let mut s = engine.session();
+        s.run("CREATE TABLE t (A, B) NEST ORDER (A, B)").unwrap();
         let mut shadow: BTreeSet<(u8, u8)> = BTreeSet::new();
 
         for op in ops {
             match op {
                 Op::Insert(a, b) => {
-                    let out = db
+                    let out = s
                         .run(&format!("INSERT INTO t VALUES ('a{a}','b{b}')"))
                         .unwrap();
                     let affected = match out {
@@ -54,7 +55,7 @@ proptest! {
                     prop_assert_eq!(affected, usize::from(shadow.insert((a, b))));
                 }
                 Op::Delete(a, b) => {
-                    let out = db
+                    let out = s
                         .run(&format!("DELETE FROM t WHERE A='a{a}' AND B='b{b}'"))
                         .unwrap();
                     let affected = match out {
@@ -64,7 +65,7 @@ proptest! {
                     prop_assert_eq!(affected, usize::from(shadow.remove(&(a, b))));
                 }
                 Op::DeleteByA(a) => {
-                    let out = db.run(&format!("DELETE FROM t WHERE A='a{a}'")).unwrap();
+                    let out = s.run(&format!("DELETE FROM t WHERE A='a{a}'")).unwrap();
                     let affected = match out {
                         Output::Affected(n) => n,
                         other => panic!("unexpected {other:?}"),
@@ -74,7 +75,7 @@ proptest! {
                     prop_assert_eq!(affected, before - shadow.len());
                 }
                 Op::SelectByA(a) => {
-                    let out = db
+                    let out = s
                         .run(&format!("SELECT B FROM t WHERE A='a{a}'"))
                         .unwrap();
                     let rel = match out {
@@ -89,7 +90,7 @@ proptest! {
                     prop_assert_eq!(rel.expand().len(), expected.len());
                 }
                 Op::ShowFlat => {
-                    let out = db.run("SHOW FLAT t").unwrap();
+                    let out = s.run("SHOW FLAT t").unwrap();
                     let rel = match out {
                         Output::Relation { relation, .. } => relation,
                         other => panic!("unexpected {other:?}"),
@@ -98,14 +99,14 @@ proptest! {
                 }
             }
             // Global invariant: stored relation == canonical(shadow).
-            let table = db.table("t").unwrap();
+            let table = engine.table("t").unwrap();
             prop_assert_eq!(table.flat_count(), shadow.len() as u128);
         }
 
         // Final strong check: rebuild the canonical form of the shadow
         // through the dictionary and compare relations exactly.
-        let dict = db.dict().clone();
-        let schema = db.table("t").unwrap().schema().clone();
+        let dict = engine.dict().clone();
+        let schema = engine.table("t").unwrap().schema().clone();
         let flat = nf2::core::relation::FlatRelation::from_rows(
             schema,
             shadow.iter().map(|(a, b)| {
@@ -117,7 +118,7 @@ proptest! {
         )
         .unwrap();
         let oracle = canonical_of_flat(&flat, &NestOrder::identity(2));
-        prop_assert_eq!(*db.table("t").unwrap().relation(), oracle);
+        prop_assert_eq!(*engine.table("t").unwrap().relation(), oracle);
     }
 
     /// Transactions: any mutation stream inside BEGIN … ROLLBACK leaves
@@ -144,37 +145,40 @@ proptest! {
                 .collect()
         };
 
-        let setup = |db: &mut Database| {
-            db.run("CREATE TABLE t (A, B) NEST ORDER (B, A)").unwrap();
+        let setup = |s: &mut Session<'_>| {
+            s.run("CREATE TABLE t (A, B) NEST ORDER (B, A)").unwrap();
             for (a, b) in &seed_rows {
-                db.run(&format!("INSERT INTO t VALUES ('a{a}','b{b}')")).unwrap();
+                s.run(&format!("INSERT INTO t VALUES ('a{a}','b{b}')")).unwrap();
             }
         };
 
         // Rollback: identity.
-        let mut db = Database::new();
-        setup(&mut db);
-        let before = db.table("t").unwrap().relation().clone();
-        db.run("BEGIN").unwrap();
+        let engine = Engine::default();
+        let mut s = engine.session();
+        setup(&mut s);
+        let before = engine.table("t").unwrap().relation().clone();
+        s.run("BEGIN").unwrap();
         for stmt in script_of(&ops) {
-            db.run(&stmt).unwrap();
+            s.run(&stmt).unwrap();
         }
-        db.run("ROLLBACK").unwrap();
-        prop_assert_eq!(db.table("t").unwrap().relation(), before.clone());
+        s.run("ROLLBACK").unwrap();
+        prop_assert_eq!(engine.table("t").unwrap().relation(), before.clone());
 
         // Commit: same final state as autocommit.
-        let mut committed = Database::new();
-        setup(&mut committed);
-        committed.run("BEGIN").unwrap();
+        let committed = Engine::default();
+        let mut cs = committed.session();
+        setup(&mut cs);
+        cs.run("BEGIN").unwrap();
         for stmt in script_of(&ops) {
-            committed.run(&stmt).unwrap();
+            cs.run(&stmt).unwrap();
         }
-        committed.run("COMMIT").unwrap();
+        cs.run("COMMIT").unwrap();
 
-        let mut autocommit = Database::new();
-        setup(&mut autocommit);
+        let autocommit = Engine::default();
+        let mut auto = autocommit.session();
+        setup(&mut auto);
         for stmt in script_of(&ops) {
-            autocommit.run(&stmt).unwrap();
+            auto.run(&stmt).unwrap();
         }
         prop_assert_eq!(
             committed.table("t").unwrap().relation().expand().into_rows(),
@@ -189,14 +193,15 @@ proptest! {
         a in 0u8..5,
         junk in "[a-z ]{0,20}",
     ) {
-        let mut db = Database::new();
-        db.run("CREATE TABLE t (A, B)").unwrap();
-        db.run(&format!("INSERT INTO t VALUES ('a{a}','b0')")).unwrap();
-        let before = db.table("t").unwrap().relation().clone();
+        let engine = Engine::default();
+        let mut s = engine.session();
+        s.run("CREATE TABLE t (A, B)").unwrap();
+        s.run(&format!("INSERT INTO t VALUES ('a{a}','b0')")).unwrap();
+        let before = engine.table("t").unwrap().relation().clone();
         // Fire junk at the parser; errors must not touch the table.
-        let _ = db.run(&format!("INSERT INTO t VALUES ({junk})"));
-        let _ = db.run(&junk);
-        let _ = db.run("DELETE FROM missing WHERE A='a0'");
-        prop_assert_eq!(db.table("t").unwrap().relation(), before.clone());
+        let _ = s.run(&format!("INSERT INTO t VALUES ({junk})"));
+        let _ = s.run(&junk);
+        let _ = s.run("DELETE FROM missing WHERE A='a0'");
+        prop_assert_eq!(engine.table("t").unwrap().relation(), before.clone());
     }
 }
